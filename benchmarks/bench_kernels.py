@@ -171,9 +171,9 @@ def test_kernel_wave_throughput_layered(benchmark, effort):
     The same west-to-east column sweep as the planar wave case, on a
     256x256x2 grid whose layer 0 is split by a full-height obstacle
     wall: every unit of flow must climb to layer 1, cross over and
-    come back down, so the 6-neighbour layered engine (via moves and
-    the via-permission mask included) is on the measured path end to
-    end.  Gated <= 20% regression against ``BENCH_kernels.json``.
+    come back down, so the wave engine on the 6-column neighbour table
+    (via moves and the via-permission mask included) is on the measured
+    path end to end.  Gated <= 20% regression against ``BENCH_kernels.json``.
     """
     grid = RoutingGrid(256, 256, 2)
     wall_x = grid.width // 2

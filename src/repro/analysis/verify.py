@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.result import NetReport, PacorResult, Segment
 from repro.designs.design import Design
-from repro.geometry.point import Point
+from repro.geometry.point import Point, manhattan
 from repro.robustness.errors import PacorError
 from repro.valves.compatibility import pairwise_compatible
 
@@ -131,7 +131,7 @@ def verify_result(
                 raise VerificationError(
                     f"net {net.net_id} has a drawn segment outside its cells"
                 )
-            if a.manhattan(b) != 1:
+            if manhattan(a, b) != 1:
                 raise VerificationError(
                     f"net {net.net_id} has a non-adjacent segment {a}-{b}"
                 )

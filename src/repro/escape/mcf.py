@@ -159,7 +159,7 @@ def solve_escape(
         np.zeros(n_cells, dtype=np.float64),
     )
     cand = _nbr_table(width, height)[uids].astype(np.int64)
-    in_range = (cand >= 0) & (cand < size)
+    in_range = cand >= 0  # off-chip moves are explicit -1 entries
     kq = np.where(in_range, kof[np.where(in_range, cand, 0)], -1)
     edge_mask = kq >= 0
     arc_from = np.repeat(ks, 4).reshape(n_cells, 4)[edge_mask]

@@ -94,9 +94,11 @@ def find_blocking_nets(
     # Per-cell probe cost, fused once instead of per neighbour visit:
     # free cells cost 1, rippable-owned cells carry the rip penalty, and
     # everything impassable (obstacle / protected owner / permanent
-    # occupied cell / off-grid guard slot, see engine._GUARD_NOTE) holds
-    # -1 so one sign test replaces the old step_cost call.
-    cost = np.full(size + width, -1.0, dtype=np.float64)
+    # occupied cell, and the single off-chip guard slot at index ``size``
+    # that every -1 neighbour-table entry wraps to, see
+    # engine._GUARD_NOTE) holds -1 so one sign test replaces the old
+    # step_cost call.
+    cost = np.full(size + 1, -1.0, dtype=np.float64)
     step = cost[:size]
     owned = owner_arr != FREE
     step[~owned] = 1.0
@@ -135,7 +137,7 @@ def find_blocking_nets(
             break
         base = 4 * p
         # Neighbour order East, West, South, North, as everywhere in the
-        # kernel core (off-chip steps land on -1 guard-cost slots).
+        # kernel core (off-chip steps land on the -1 guard-cost slot).
         for k in range(4):
             q = nbr_mv[base + k]
             c = cost_mv[q]

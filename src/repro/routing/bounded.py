@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.geometry.point import Point, manhattan
+from repro.geometry.point import Point, cell_z
 from repro.grid.grid import RoutingGrid
 from repro.grid.occupancy import FREE, Occupancy
 from repro.robustness.errors import KernelPreconditionError
@@ -55,31 +55,21 @@ def bounded_length_route(
             "min_length must not exceed max_length",
             kernel="repro.routing.bounded.bounded_length_route",
         )
-    if grid.layers == 1:
-        base = manhattan(source, target)
-        if base > max_length:
-            return None
-        # Rectilinear path lengths share the parity of the Manhattan
-        # distance; an infeasible parity window can never be satisfied.
-        feasible = [
-            length
-            for length in range(min_length, max_length + 1)
-            if (length - base) % 2 == 0
-        ]
-        if not feasible:
-            return None
-    else:
-        # Weighted lower bound: planar L1 plus via_length per layer the
-        # path must cross.  Parity pruning does not survive weighted via
-        # steps, so only the bound check applies.
-        sz = source[2] if len(source) == 3 else 0
-        tz = target[2] if len(target) == 3 else 0
-        base = (
-            abs(source[0] - target[0])
-            + abs(source[1] - target[1])
-            + abs(sz - tz) * grid.via_length
-        )
-        if base > max_length:
+    # Weighted lower bound: planar L1 plus via_length per layer the path
+    # must cross.
+    base = (
+        abs(source[0] - target[0])
+        + abs(source[1] - target[1])
+        + abs(cell_z(source) - cell_z(target)) * grid.via_length
+    )
+    if base > max_length:
+        return None
+    # On one layer, path lengths share the parity of the Manhattan
+    # distance; with ``base <= max_length`` only a one-length window of
+    # the wrong parity is infeasible.  Weighted via steps break parity,
+    # so layer stacks skip this pruning.
+    if grid.layers == 1 and min_length == max_length:
+        if (max_length - base) % 2:
             return None
 
     space = query_space(
@@ -137,7 +127,6 @@ def extend_path_with_bumps(
     )
     width = space.width
     height = space.height
-    planar = space.layers == 1
     size = space.size
     blocked = memoryview(space.blocked)
 
@@ -152,36 +141,24 @@ def extend_path_with_bumps(
             # probe order the Point-based fallback used: for a
             # horizontal step try South (+width) then North (-width),
             # for a vertical step East (+1) then West (-1).  A None
-            # marks an off-chip probe (column edge for East/West; the
-            # row bound check below handles South/North).  On multi-
-            # layer grids row bounds must be explicit (a raw ±width
-            # would wrap across layers) and via steps take no planar
-            # bump at all.
-            if planar:
-                if b == a + 1 or b == a - 1:
-                    perps = (width, -width)
-                else:
-                    xa = a % width
-                    perps = (
-                        1 if xa + 1 < width else None,
-                        -1 if xa else None,
-                    )
+            # marks an off-chip probe; row bounds are explicit (a raw
+            # ±width would wrap across layers), and via steps take no
+            # planar bump at all.
+            d = b - a
+            if d == 1 or d == -1:
+                ya = (a // width) % height
+                perps = (
+                    width if ya + 1 < height else None,
+                    -width if ya else None,
+                )
+            elif d == width or d == -width:
+                xa = a % width
+                perps = (
+                    1 if xa + 1 < width else None,
+                    -1 if xa else None,
+                )
             else:
-                d = b - a
-                if d == 1 or d == -1:
-                    ya = (a // width) % height
-                    perps = (
-                        width if ya + 1 < height else None,
-                        -width if ya else None,
-                    )
-                elif d == width or d == -width:
-                    xa = a % width
-                    perps = (
-                        1 if xa + 1 < width else None,
-                        -1 if xa else None,
-                    )
-                else:
-                    perps = ()
+                perps = ()
             for n in perps:
                 if n is None:
                     continue

@@ -227,15 +227,15 @@ class NegotiationRouter:
                     aborted=result.aborted,
                 )
 
-            if not failed:
-                result.success = True
-                result.paths = self._materialize(id_paths)
-                result.failed_edges = []
-                return result
-
-            if result.aborted or iteration >= self.gamma:
-                # Give up: keep the final partial solution for the caller.
-                result.paths = self._materialize(id_paths)
+            if not failed or result.aborted or iteration >= self.gamma:
+                # Done, or give up keeping the final partial solution for
+                # the caller.  Materialisation reads only grid geometry,
+                # so the round's last view converts every path.
+                result.success = not failed
+                result.paths = {
+                    edge_id: space.materialize(ids)
+                    for edge_id, ids in id_paths.items()
+                }
                 result.failed_edges = failed
                 return result
 
@@ -248,18 +248,3 @@ class NegotiationRouter:
             occupancy.release_cell_ids(added_ids)
 
         return result  # pragma: no cover - loop always returns earlier
-
-    def _materialize(self, id_paths: Dict[int, List[int]]) -> Dict[int, Path]:
-        """Turn per-edge cell-id paths back into :class:`Path` objects."""
-        grid = self.grid
-        width = grid.width
-        if grid.layers == 1:
-            return {
-                edge_id: Path([Point(cid % width, cid // width) for cid in ids])
-                for edge_id, ids in id_paths.items()
-            }
-        point = grid.point
-        return {
-            edge_id: Path([point(cid) for cid in ids])
-            for edge_id, ids in id_paths.items()
-        }

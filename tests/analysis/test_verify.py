@@ -3,9 +3,16 @@
 import pytest
 
 from repro.analysis import VerificationError, network_lengths, verify_result
-from repro.core.result import NetReport, PacorResult, segments_of_path
+from repro.core import PacorConfig, run_pacor
+from repro.core.result import (
+    NetReport,
+    PacorResult,
+    is_via_segment,
+    segments_of_path,
+)
 from repro.designs import Design
 from repro.geometry import Point
+from repro.geometry.point import manhattan
 from repro.grid import RoutingGrid
 from repro.valves import ActivationSequence, Valve
 
@@ -215,3 +222,39 @@ class TestVerifyResult:
         net.routed = False
         notes = verify_result(design, make_result([net]))
         assert any("unrouted" in n for n in notes)
+
+
+def wall_design():
+    """A two-layer chip whose layer-0 wall forces the only route up a via."""
+    grid = RoutingGrid(15, 7, 2)
+    grid.add_obstacles(Point(7, y) for y in range(7))
+    return Design(
+        name="over-the-wall",
+        grid=grid,
+        valves=[Valve(0, Point(2, 3), ActivationSequence("01"))],
+        control_pins=[Point(12, 3)],
+    )
+
+
+class TestVerifyLayered:
+    def test_forced_via_route_passes(self):
+        design = wall_design()
+        result = run_pacor(design, PacorConfig())
+        net = next(n for n in result.nets if n.routed)
+        assert any(is_via_segment(s) for s in net.segments)
+        assert verify_result(design, result) == []
+
+    def test_segment_not_adjacent_in_3d_rejected(self):
+        design = wall_design()
+        result = run_pacor(design, PacorConfig())
+        net = next(n for n in result.nets if n.routed)
+        # Replace one via a -> b with a jump from a to a layer-1 cell one
+        # planar step beyond b: both ends stay on the net, 3D distance 2.
+        a, b = next(s for s in net.segments if is_via_segment(s))
+        low, high = (a, b) if len(b) == 3 else (b, a)
+        far = next(
+            c for c in net.cells if len(c) == 3 and manhattan(low, c) == 2
+        )
+        net.segments = (net.segments - {(a, b)}) | {(low, far)}
+        with pytest.raises(VerificationError, match="non-adjacent"):
+            verify_result(design, result)

@@ -207,16 +207,31 @@ def test_spacecache_incremental_matches_rebuilt(seed):
 
 
 def _design_scene(name, seed):
-    """The design's grid plus a seeded occupancy over its valve cells."""
-    design = design_by_name(name)
+    """The design's grid plus a seeded occupancy over its valve cells.
+
+    A ``"x2"`` suffix lifts the design onto two layers (unit via cost);
+    its queries then draw ``(x, y, z)`` cells from both layers.
+    """
+    base, _, lifted = name.partition("x")
+    design = design_by_name(base)
+    if lifted:
+        design = design.with_layers(int(lifted), via_cost=1)
     grid = design.grid
     rng = random.Random(seed)
     occupancy = Occupancy(grid)
     for valve in design.valves:
         occupancy.occupy([valve.position], 1 + (valve.id % 3))
-    cells = [
-        Point(x, y) for y in range(grid.height) for x in range(grid.width)
-    ]
+    if lifted:
+        cells = [
+            (x, y, z)
+            for z in range(grid.layers)
+            for y in range(grid.height)
+            for x in range(grid.width)
+        ]
+    else:
+        cells = [
+            Point(x, y) for y in range(grid.height) for x in range(grid.width)
+        ]
     queries = []
     for _ in range(6):
         srcs = [rng.choice(cells) for _ in range(rng.randrange(1, 3))]
@@ -225,17 +240,16 @@ def _design_scene(name, seed):
     return grid, occupancy, queries
 
 
-@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+@pytest.mark.parametrize(
+    "name", ["S1", "S2", "S3", "S4", "S5", "S4x2", "S5x2"]
+)
 def test_wave_astar_paths_identical_to_scalar(name):
     """The whole-frontier wave A* returns the scalar engine's exact path."""
     grid, occupancy, queries = _design_scene(name, seed=sum(name.encode()))
     for net, srcs, tgts in queries:
         space = SearchSpace(grid, net=net, occupancy=occupancy)
         wave = astar_search(space, srcs, tgts)  # history=None -> wave
-        scalar = _astar_scalar(
-            space, [(s[0], s[1]) for s in srcs],
-            {(t[0], t[1]) for t in tgts}, None, None, None,
-        )
+        scalar = _astar_scalar(space, srcs, set(tgts), None, None, None)
         assert wave == scalar, (net, srcs, tgts)
 
 
