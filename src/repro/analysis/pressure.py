@@ -85,7 +85,10 @@ def cluster_skews(
             continue
         valves = [by_id[v] for v in net.valve_ids]
         lengths = network_lengths(
-            net.segments, net.pin, [v.position for v in valves]
+            net.segments,
+            net.pin,
+            [v.position for v in valves],
+            via_length=design.grid.via_length,
         )
         arrival = {}
         for valve in valves:

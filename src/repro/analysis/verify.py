@@ -3,17 +3,18 @@
 The router's own bookkeeping is never trusted here: every check works
 from the raw cell sets in the :class:`~repro.core.result.NetReport`
 entries plus the original design.  In particular, length matching is
-re-measured as *network distance* — BFS inside the net's routed cells
-from the control pin to each valve — which is the physical length a
-pressure front travels, independent of how the router composed paths.
+re-measured as *network distance* — a shortest-path search along the
+net's drawn channels from the control pin to each valve, vias counted
+at the grid's ``via_length`` — which is the physical length a pressure
+front travels, independent of how the router composed paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.core.result import NetReport, PacorResult, Segment
+from repro.core.result import NetReport, PacorResult, Segment, is_via_segment
 from repro.designs.design import Design
 from repro.geometry.point import Point, manhattan
 from repro.robustness.errors import PacorError
@@ -25,15 +26,21 @@ class VerificationError(PacorError, AssertionError):
 
 
 def network_lengths(
-    segments: Iterable[Segment], origin: Point, targets: List[Point]
+    segments: Iterable[Segment],
+    origin: Point,
+    targets: List[Point],
+    *,
+    via_length: int = 1,
 ) -> Dict[Point, Optional[int]]:
-    """Return BFS distances from ``origin`` to ``targets`` along segments.
+    """Return channel distances from ``origin`` to ``targets`` along segments.
 
     Connectivity follows the *drawn* channel steps, not raw cell
     adjacency: two same-net cells that merely touch are separate channels
-    with legal spacing (the grid pitch includes the spacing rule).
-    Unreachable targets map to None.  This is the pressure-propagation
-    length through the routed channel network.
+    with legal spacing (the grid pitch includes the spacing rule).  A via
+    segment counts ``via_length`` channel units, a planar one 1, so the
+    search is a small Dijkstra.  Unreachable targets map to None.  This
+    is the pressure-propagation length through the routed channel
+    network.
     """
     adjacency: Dict[Point, List[Point]] = {}
     for a, b in segments:
@@ -42,16 +49,18 @@ def network_lengths(
     if origin not in adjacency:
         return {t: (0 if t == origin else None) for t in targets}
     dist: Dict[Point, int] = {origin: 0}
-    queue = deque([origin])
+    heap = [(0, origin)]
     remaining = set(targets)
-    remaining.discard(origin)
-    while queue and remaining:
-        p = queue.popleft()
-        for q in adjacency.get(p, ()):
-            if q not in dist:
-                dist[q] = dist[p] + 1
-                remaining.discard(q)
-                queue.append(q)
+    while heap and remaining:
+        d, p = heapq.heappop(heap)
+        if d > dist[p]:
+            continue
+        remaining.discard(p)
+        for q in adjacency[p]:
+            nd = d + (via_length if is_via_segment((p, q)) else 1)
+            if nd < dist.get(q, nd + 1):
+                dist[q] = nd
+                heapq.heappush(heap, (nd, q))
     return {t: dist.get(t) for t in targets}
 
 
@@ -139,7 +148,10 @@ def verify_result(
         # 5b. Connectivity: every valve reachable from the pin along the
         # drawn channels.
         lengths = network_lengths(
-            net.segments, net.pin, [v.position for v in valves]
+            net.segments,
+            net.pin,
+            [v.position for v in valves],
+            via_length=design.grid.via_length,
         )
         for valve in valves:
             if valve.position not in net.cells:

@@ -1,26 +1,45 @@
 """Min-cost max-flow via successive shortest paths with potentials.
 
 Designed for the escape-routing networks PACOR builds: sparse, unit-ish
-capacities, non-negative arc costs.  With non-negative costs the first
-Dijkstra needs no initialisation and node potentials keep all reduced
-costs non-negative across augmentations, so every shortest-path search is
-a plain Dijkstra with early exit at the sink.
+capacities, non-negative integer arc costs.  Node potentials keep every
+reduced cost non-negative across augmentations, so each augmentation
+follows a shortest path found by a Dijkstra that stops at the sink.
 
 Arcs live in flat numpy arrays (paired forward/residual entries, like a
 classic arc-list MCMF) and per-node adjacency is a CSR view built lazily
 at solve time: a stable argsort of the arc tail array groups each node's
-arcs in insertion order, which keeps relaxation order — and therefore
-tie-breaking and the solved flow — identical to the old per-node
-adjacency lists.  The per-augmentation potential update is one
-vectorised ``minimum`` over the distance array; because ``min(inf,
-d_sink) == d_sink`` it reproduces the scalar settled/unsettled split
-bit-for-bit.
+arcs in insertion order, which fixes relaxation order — and therefore
+tie-breaking and the solved flow.
+
+The Dijkstra is a Dial bucket queue over integer distances
+(:func:`_dial`).  On a large network its pure-Python pops dominate, so
+once the previous augmentation found at least ``_SWEEP_MIN_BALL`` nodes
+within the sink's distance, an augmentation instead
+
+1. sweeps exact reduced distances up to the sink's, level by level, in
+   numpy (:func:`_sweep`);
+2. marks the nodes on some shortest source-sink path with a numpy BFS
+   back from the sink over tight arcs (:func:`_shortest_path_nodes`);
+3. replays :func:`_dial` entering only marked nodes.
+
+The replay picks the same parents as the full loop.  The marked set
+holds every tight predecessor of its members, and an unmarked node never
+pushes a marked one at its final distance, so the marked nodes pop in
+the same relative order and take the same first tight arc.  The path,
+and so the solved flow, is the same bit for bit; only the number of
+Python pops shrinks.
+
+Potentials move by ``min(dist, d_sink) - d_sink``: the standard
+early-exit update shifted by the constant ``-d_sink``, which changes no
+reduced cost.  Nodes left unsettled have true distance at least
+``d_sink``, so the full loop's tentative distances and the sweep's
+exact ones give the same update.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,14 +47,29 @@ from repro.observability import context as obs
 
 _INF = float("inf")
 
+# Distance of a node the sweep did not finalise; far above any real one.
+_FAR = 1 << 62
+
+# Ball size (nodes the previous augmentation found within the sink's
+# distance) from which an augmentation takes the numpy sweep.  The
+# sweep pays a fixed cost per array step (one per distance level and
+# per zero-cost hop, 30-700 steps per augmentation on the escape
+# networks), the Dial loop a few microseconds per popped node.  Timed
+# side by side on every augmentation of the S1-S5, Chip1 and Chip2
+# escape solves, the sweep is 1.5-5x slower below 3k nodes, even at
+# 4k-12k, and takes a third to a half of the loop's time above 16k.
+_SWEEP_MIN_BALL = 4096
+
 
 class MinCostFlow:
     """A directed flow network with integer capacities and costs.
 
-    Arcs are stored as paired forward/residual entries; ``add_arc``
-    returns the forward arc id whose flow can be queried after solving.
-    ``add_arcs`` appends a whole batch in one shot — network builders
-    with hundreds of thousands of arcs should prefer it.
+    Costs must be non-negative integers (floats with an integral value
+    are accepted); anything else raises ``ValueError``.  Arcs are stored
+    as paired forward/residual entries; ``add_arc`` returns the forward
+    arc id whose flow can be queried after solving.  ``add_arcs``
+    appends a whole batch in one shot — network builders with hundreds
+    of thousands of arcs should prefer it.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -47,7 +81,7 @@ class MinCostFlow:
         self._to = np.empty(cap0, dtype=np.int64)
         self._tail = np.empty(cap0, dtype=np.int64)
         self._cap = np.empty(cap0, dtype=np.int64)
-        self._cost = np.empty(cap0, dtype=np.float64)
+        self._cost = np.empty(cap0, dtype=np.int64)
         # CSR adjacency, rebuilt on demand when arcs were added.
         self._order: Optional[np.ndarray] = None
         self._indptr: Optional[np.ndarray] = None
@@ -75,10 +109,13 @@ class MinCostFlow:
             raise ValueError(f"arc endpoints ({u},{v}) out of range")
         if cap < 0:
             raise ValueError("arc capacity must be non-negative")
+        if not float(cost).is_integer():
+            raise ValueError("arc costs must be integers")
         if cost < 0:
             raise ValueError(
                 "negative arc costs are not supported by the Dijkstra solver"
             )
+        cost = int(cost)
         self._reserve(2)
         m = self._m
         self._to[m] = v
@@ -109,7 +146,12 @@ class MinCostFlow:
         us = np.ascontiguousarray(us, dtype=np.int64)
         vs = np.ascontiguousarray(vs, dtype=np.int64)
         caps = np.ascontiguousarray(caps, dtype=np.int64)
-        costs = np.ascontiguousarray(costs, dtype=np.float64)
+        costs = np.asarray(costs)
+        if costs.dtype.kind not in "iu":
+            costs = np.asarray(costs, dtype=np.float64)
+            if not (np.isfinite(costs) & (costs == np.trunc(costs))).all():
+                raise ValueError("arc costs must be integers")
+        costs = np.ascontiguousarray(costs, dtype=np.int64)
         k = us.size
         if not (vs.size == caps.size == costs.size == k):
             raise ValueError("add_arcs sequences must share one length")
@@ -120,7 +162,7 @@ class MinCostFlow:
                 raise ValueError("arc endpoints out of range")
         if int(caps.min()) < 0:
             raise ValueError("arc capacity must be non-negative")
-        if float(costs.min()) < 0:
+        if int(costs.min()) < 0:
             raise ValueError(
                 "negative arc costs are not supported by the Dijkstra solver"
             )
@@ -177,155 +219,271 @@ class MinCostFlow:
         n = self.n
         m = self._m
         order, indptr = self._adjacency()
-        # CSR-contiguous plain-list copies: the scalar Dijkstra loop runs
-        # fastest on CPython lists, and ``parent`` can store CSR slots
-        # directly.  ``cpair[j]`` is the CSR slot of arc j's residual
-        # partner, ``ctail[j]`` the arc's tail node (for the path walk).
-        indptr_l = indptr.tolist()
-        cto = self._to[:m][order].tolist()
-        ccost = self._cost[:m][order].tolist()
-        ccap = self._cap[:m][order].tolist()
+        # CSR-ordered arc arrays.  ``cpair[j]`` is the CSR slot of arc
+        # j's residual partner, so ``cto[cpair[j]]`` is arc j's tail.  The
+        # Dial loop reads plain-list copies (fastest on CPython), the
+        # sweep the arrays; ``ccap`` and ``ccap_a`` change together.
+        cto_a = self._to[:m][order]
+        ccost_a = self._cost[:m][order]
+        ccap_a = self._cap[:m][order]
         inv = np.empty(m, dtype=np.int64)
         inv[order] = np.arange(m, dtype=np.int64)
-        cpair = inv[order ^ 1].tolist()
+        cpair_a = inv[order ^ 1]
+        indptr_l = indptr.tolist()
+        cto = cto_a.tolist()
+        ccost = ccost_a.tolist()
+        ccap = ccap_a.tolist()
+        cpair = cpair_a.tolist()
         # Per-node arc slices, reused across every augmentation's search.
         arcs_of = list(map(range, indptr_l[:-1], indptr_l[1:]))
-        # All-integral arc costs keep every distance and potential an
-        # exact small integer (float64 is exact there), which admits a
-        # Dial-style bucket queue below.  PACOR's escape networks only
-        # use costs 0 and 1; fractional costs fall back to a binary heap.
-        int_mode = m == 0 or bool(
-            (self._cost[:m] == np.floor(self._cost[:m])).all()
-        )
 
-        potential: List[float] = [0.0] * n
+        pot = np.zeros(n, dtype=np.int64)
         flow_value = 0
-        total_cost = 0.0
+        total_cost = 0
         limit = max_flow if max_flow is not None else float("inf")
         augmentations = 0
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        nodes_settled = 0
+        ball = 0  # nodes within the sink's distance, last augmentation
 
         while flow_value < limit:
-            dist = [_INF] * n
-            parent = [-1] * n
-            settled = bytearray(n)
-            dist[source] = 0.0
-            if int_mode:
-                # Dial bucket queue: pop order is ascending integer
-                # distance, ties broken by ascending node id — exactly
-                # the (distance, node) tuple-heap order, at int-heap
-                # cost.  Monotonicity (non-negative reduced costs) means
-                # inserts only ever target the current or later buckets.
-                buckets: dict = {0: [source]}
-                key_heap = [0]
-                while key_heap:
-                    kb = key_heap[0]
-                    bucket = buckets[kb]
-                    heapq.heapify(bucket)
-                    sink_hit = False
-                    while bucket:
-                        u = heappop(bucket)
-                        if settled[u]:
-                            continue
-                        settled[u] = 1
-                        if u == sink:
-                            sink_hit = True
-                            break
-                        d = dist[u]
-                        pot_u = potential[u]
-                        for j in arcs_of[u]:
-                            if ccap[j] <= 0:
-                                continue
-                            v = cto[j]
-                            if settled[v]:
-                                continue
-                            # Same association order as the original
-                            # loop — float sums are order-sensitive and
-                            # results are pinned (exact here, but kept
-                            # aligned with the fractional branch; the
-                            # 1e-12 slack is dropped because for exact
-                            # integers it equals the strict compare).
-                            nd = d + ccost[j] + pot_u - potential[v]
-                            if nd < dist[v]:
-                                dist[v] = nd
-                                parent[v] = j
-                                key = int(nd)
-                                other = buckets.get(key)
-                                if other is None:
-                                    buckets[key] = [v]
-                                    heappush(key_heap, key)
-                                elif other is bucket:
-                                    heappush(bucket, v)
-                                else:
-                                    other.append(v)
-                    if sink_hit:
-                        break
-                    del buckets[kb]
-                    heappop(key_heap)
+            if ball < _SWEEP_MIN_BALL:
+                dist, parent, popped = _dial(
+                    source, sink, arcs_of, cto, ccost, ccap,
+                    pot.tolist(), bytearray(n),
+                )
+                nodes_settled += len(popped)
+                d_sink = dist[sink]
+                if d_sink == _INF:
+                    break
+                ball = len(popped)
+                near = np.array(popped, dtype=np.int64)
+                pot[near] += np.array([dist[u] for u in popped]) - d_sink
             else:
-                heap: List[Tuple[float, int]] = [(0.0, source)]
-                while heap:
-                    d, u = heappop(heap)
-                    if settled[u]:
-                        continue
-                    settled[u] = 1
-                    if u == sink:
-                        break
-                    pot_u = potential[u]
-                    for j in arcs_of[u]:
-                        if ccap[j] <= 0:
-                            continue
-                        v = cto[j]
-                        if settled[v]:
-                            continue
-                        nd = d + ccost[j] + pot_u - potential[v]
-                        if nd < dist[v] - 1e-12:
-                            dist[v] = nd
-                            parent[v] = j
-                            heappush(heap, (nd, v))
-            if not settled[sink]:
-                break
+                ds = _sweep(indptr, cto_a, ccost_a, ccap_a, pot, source, sink)
+                if ds is None:
+                    break
+                d_sink = int(ds[sink])
+                on_path = _shortest_path_nodes(
+                    indptr, cto_a, cpair_a, ccost_a, ccap_a, pot, ds, sink
+                )
+                # Off-path nodes start out settled, so the replay never
+                # enters them and reads only on-path potentials.
+                on_nodes = np.flatnonzero(on_path)
+                dist, parent, popped = _dial(
+                    source, sink, arcs_of, cto, ccost, ccap,
+                    dict(zip(on_nodes.tolist(), pot[on_nodes].tolist())),
+                    bytearray(np.logical_not(on_path).tobytes()),
+                )
+                nodes_settled += len(popped)
+                ball = int(np.count_nonzero(ds <= d_sink))
+                pot += np.minimum(ds, d_sink) - d_sink
             augmentations += 1
 
-            # Update potentials: settled/reached nodes move by their
-            # distance, unreached ones by dist[sink] (standard early-exit
-            # variant).  ``min(inf, d_sink) == d_sink`` folds both cases
-            # into one vectorised minimum.  With exact integer distances
-            # a zero d_sink makes every addend +0.0 — a bitwise no-op
-            # (no -0.0 can arise from the non-negative sums), so the
-            # whole update is skipped.
-            d_sink = dist[sink]
-            if not int_mode or d_sink != 0.0:
-                pot_np = np.asarray(potential, dtype=np.float64)
-                pot_np += np.minimum(
-                    np.asarray(dist, dtype=np.float64), d_sink
-                )
-                potential = pot_np.tolist()
-
-            # Bottleneck along the path (``cto[cpair[j]]`` is arc j's
-            # tail: the residual partner's head).
-            bottleneck = limit - flow_value
+            path = []
             v = sink
             while v != source:
                 j = parent[v]
-                cap = ccap[j]
-                if cap < bottleneck:
-                    bottleneck = cap
+                path.append(j)
                 v = cto[cpair[j]]
-            # Apply augmentation.
-            v = sink
-            while v != source:
-                j = parent[v]
+            bottleneck = limit - flow_value
+            for j in path:
+                if ccap[j] < bottleneck:
+                    bottleneck = ccap[j]
+            for j in path:
                 ccap[j] -= bottleneck
                 ccap[cpair[j]] += bottleneck
                 total_cost += bottleneck * ccost[j]
-                v = cto[cpair[j]]
+            slots = np.array(path, dtype=np.int64)
+            ccap_a[slots] -= bottleneck
+            ccap_a[cpair_a[slots]] += bottleneck
             flow_value += int(bottleneck)
 
         # Flow lives in the residual capacities: fold the CSR working
         # copy back into arc-id order so flow_on sees the solved flow.
-        self._cap[:m][order] = ccap
+        self._cap[:m][order] = ccap_a
         if augmentations:
             obs.counter("mcf.augmenting_paths").inc(augmentations)
-        return flow_value, total_cost
+        if nodes_settled:
+            obs.counter("mcf.nodes_settled").inc(nodes_settled)
+        return flow_value, float(total_cost)
+
+
+def _dial(
+    source: int,
+    sink: int,
+    arcs_of: List[range],
+    cto: List[int],
+    ccost: List[int],
+    ccap: List[int],
+    potential: Union[List[int], Dict[int, int]],
+    settled: bytearray,
+) -> Tuple[List[float], List[int], List[int]]:
+    """Dijkstra over reduced costs with a Dial bucket queue, stopping at the sink.
+
+    Pop order is ascending integer distance, ties broken by ascending
+    node id — exactly the ``(distance, node)`` tuple-heap order, at
+    int-heap cost.  Non-negative reduced costs mean inserts only ever
+    target the current or later buckets.  A node's parent is the first
+    arc (in pop order, then CSR order) to reach its final distance.
+    Nodes already marked in ``settled`` are never entered, so
+    ``potential`` needs entries only for the others.
+
+    Returns ``(dist, parent, popped)``: ``parent[v]`` is the CSR slot of
+    the arc into ``v``, ``popped`` lists the settled nodes in pop order.
+    """
+    dist: List[float] = [_INF] * len(settled)
+    parent = [-1] * len(settled)
+    popped: List[int] = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    dist[source] = 0
+    buckets: Dict[int, List[int]] = {0: [source]}
+    key_heap = [0]
+    while key_heap:
+        kb = key_heap[0]
+        bucket = buckets[kb]
+        heapq.heapify(bucket)
+        sink_hit = False
+        while bucket:
+            u = heappop(bucket)
+            if settled[u]:
+                continue
+            settled[u] = 1
+            popped.append(u)
+            if u == sink:
+                sink_hit = True
+                break
+            d = dist[u]
+            pot_u = potential[u]
+            for j in arcs_of[u]:
+                if ccap[j] <= 0:
+                    continue
+                v = cto[j]
+                if settled[v]:
+                    continue
+                nd = d + ccost[j] + pot_u - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = j
+                    other = buckets.get(nd)
+                    if other is None:
+                        buckets[nd] = [v]
+                        heappush(key_heap, nd)
+                    elif other is bucket:
+                        heappush(bucket, v)
+                    else:
+                        other.append(v)
+        if sink_hit:
+            break
+        del buckets[kb]
+        heappop(key_heap)
+    return dist, parent, popped
+
+
+def _arcs_out(indptr: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR slots of every arc out of ``nodes``, and each slot's tail."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    slots = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    slots += np.repeat(starts - ends + counts, counts)
+    return slots, np.repeat(nodes, counts)
+
+
+def _distinct(nodes: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """``nodes`` without repeats, in no fixed order (``mark`` is scratch).
+
+    Each node's slot in ``mark`` ends up holding the index of one of its
+    occurrences, whichever the scatter wrote last, so exactly one
+    occurrence per node passes the test.
+    """
+    idx = np.arange(nodes.size)
+    mark[nodes] = idx
+    return nodes[mark[nodes] == idx]
+
+
+def _sweep(
+    indptr: np.ndarray,
+    cto: np.ndarray,
+    ccost: np.ndarray,
+    ccap: np.ndarray,
+    pot: np.ndarray,
+    source: int,
+    sink: int,
+) -> Optional[np.ndarray]:
+    """Exact reduced distances from ``source``, level by level.
+
+    Each level (one integer distance) is closed breadth-first over
+    zero-reduced-cost arcs, then the next level is the least tentative
+    distance.  The sweep stops after the sink's level, so every node at
+    most as far as the sink gets its exact distance and every other node
+    ``_FAR``.  The sink is never expanded, as in :func:`_dial`.  Returns
+    None when the sink is unreachable.
+    """
+    n = pot.size
+    dist = np.full(n, _FAR, dtype=np.int64)
+    tent = np.full(n, _FAR, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    mark = np.empty(n, dtype=np.int64)
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    pending: List[np.ndarray] = []
+    while True:
+        while frontier.size:
+            done[frontier] = True
+            dist[frontier] = level
+            slots, tails = _arcs_out(indptr, frontier[frontier != sink])
+            heads = cto[slots]
+            keep = (ccap[slots] > 0) & ~done[heads]
+            slots, tails, heads = slots[keep], tails[keep], heads[keep]
+            nd = level + ccost[slots] + pot[tails] - pot[heads]
+            same = nd == level
+            frontier = _distinct(heads[same], mark)
+            later = ~same
+            heads = heads[later]
+            np.minimum.at(tent, heads, nd[later])
+            pending.append(heads)
+        if done[sink]:
+            return dist
+        cand = np.concatenate(pending)
+        cand = cand[~done[cand]]
+        if not cand.size:
+            return None
+        keys = tent[cand]
+        level = int(keys.min())
+        at = keys == level
+        frontier = _distinct(cand[at], mark)
+        pending = [cand[~at]]
+
+
+def _shortest_path_nodes(
+    indptr: np.ndarray,
+    cto: np.ndarray,
+    cpair: np.ndarray,
+    ccost: np.ndarray,
+    ccap: np.ndarray,
+    pot: np.ndarray,
+    dist: np.ndarray,
+    sink: int,
+) -> np.ndarray:
+    """Mask of the nodes that reach ``sink`` over tight residual arcs.
+
+    An arc ``u -> v`` is tight when ``dist[u] + reduced cost == dist[v]``;
+    the mask is exactly the nodes on some shortest source–sink path.  A
+    node's incoming arcs are the residual partners of its outgoing CSR
+    slots, so the BFS walks backwards without a reverse CSR.
+    """
+    on = np.zeros(pot.size, dtype=bool)
+    on[sink] = True
+    mark = np.empty(pot.size, dtype=np.int64)
+    front = np.array([sink], dtype=np.int64)
+    while front.size:
+        slots, heads = _arcs_out(indptr, front)
+        tails = cto[slots]
+        into = cpair[slots]
+        keep = (ccap[into] > 0) & ~on[tails]
+        tails, heads, into = tails[keep], heads[keep], into[keep]
+        tight = dist[tails] + ccost[into] + pot[tails] - pot[heads] == dist[heads]
+        front = _distinct(tails[tight], mark)
+        on[front] = True
+    return on

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.analysis import VerificationError, network_lengths, verify_result
-from repro.core import PacorConfig, run_pacor
+from repro.core import PacorConfig, run_method, run_pacor
 from repro.core.result import (
     NetReport,
     PacorResult,
     is_via_segment,
     segments_of_path,
 )
-from repro.designs import Design
+from repro.designs import Design, s5
 from repro.geometry import Point
-from repro.geometry.point import manhattan
+from repro.geometry.point import Point3, manhattan
 from repro.grid import RoutingGrid
 from repro.valves import ActivationSequence, Valve
 
@@ -95,6 +95,22 @@ class TestNetworkLengths:
         segs = segments_of_path(straight_cells((0, 0), (2, 0)))
         lengths = network_lengths(segs, Point(0, 0), [Point(9, 9)])
         assert lengths[Point(9, 9)] is None
+
+    def test_via_segments_count_via_length(self):
+        # A planar leg of 3 steps vs a leg through two vias and one
+        # upper-layer step: with via_length=2 the via leg measures 5.
+        up = [Point(0, 0), Point3(0, 0, 1), Point3(1, 0, 1), Point(1, 0)]
+        flat = straight_cells((0, 0), (0, 3))
+        segs = segments_of_path(up) + segments_of_path(flat)
+        targets = [Point(1, 0), Point(0, 3)]
+        assert network_lengths(segs, Point(0, 0), targets) == {
+            Point(1, 0): 3,
+            Point(0, 3): 3,
+        }
+        assert network_lengths(segs, Point(0, 0), targets, via_length=2) == {
+            Point(1, 0): 5,
+            Point(0, 3): 3,
+        }
 
     def test_origin_without_segments(self):
         lengths = network_lengths([], Point(0, 0), [Point(0, 0), Point(1, 0)])
@@ -258,3 +274,8 @@ class TestVerifyLayered:
         net.segments = (net.segments - {(a, b)}) | {(low, far)}
         with pytest.raises(VerificationError, match="non-adjacent"):
             verify_result(design, result)
+
+    @pytest.mark.parametrize("method", ["w/o Sel", "Detour First", "PACOR"])
+    def test_matching_measures_vias_at_via_length(self, method):
+        design = s5().with_layers(2, via_cost=3, via_length=2)
+        assert verify_result(design, run_method(design, method)) == []

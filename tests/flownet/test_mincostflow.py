@@ -21,6 +21,17 @@ def test_arc_validation():
         net.add_arc(0, 1, 1, -2.0)
 
 
+def test_fractional_costs_rejected():
+    net = MinCostFlow(2)
+    with pytest.raises(ValueError):
+        net.add_arc(0, 1, 1, 0.5)
+    with pytest.raises(ValueError):
+        net.add_arcs([0, 0], [1, 1], [1, 1], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        net.add_arcs([0], [1], [1], [float("inf")])
+    assert net.add_arc(0, 1, 1, 2.0) == 0
+
+
 def test_source_equals_sink_rejected():
     net = MinCostFlow(2)
     with pytest.raises(ValueError):
