@@ -302,6 +302,18 @@ def astar_search(
 
     Raises:
         BudgetExceeded: the run-wide ``budget`` ran out mid-search.
+
+    Before a scalar search, :func:`_connected` checks that some routable
+    source shares a component with some routable target.  This never
+    changes a result.  The scalar engine only moves along neighbour-table
+    rows into unblocked cells, so it cannot reach a target the check
+    refutes.  Conversely, every step costs a finite amount (1 or the via
+    cost, plus a finite history), so the scalar engine pushes every cell
+    it can reach and returns None only on a refuted query or at
+    ``max_expansions``.  Moves are symmetric (E/W, S/N, and Up/Down under
+    the same planar via mask), so the check may search from both ends.
+    A refuted query returns None without charging expansions or heap
+    pushes.
     """
     if budget is not None and faults.fires("astar_budget_exhaustion"):
         raise BudgetExceeded(
@@ -316,9 +328,73 @@ def astar_search(
     # none, whatever its via cost).  The scalar heap handles the rest.
     if history is None and (space.layers == 1 or space.grid.via_cost == 1):
         return _astar_wave(space, sources, targets, max_expansions, budget)
+    # The gate and the search both read the endpoints; a one-shot
+    # iterator would reach the search empty.
+    sources = list(sources)
+    targets = list(targets)
+    if not _connected(space, sources, targets):
+        obs.counter("astar.refuted").inc()
+        return None
     return _astar_scalar(
         space, sources, targets, history, max_expansions, budget
     )
+
+
+def _connected(
+    space: SearchSpace, sources: Iterable[Cell], targets: Iterable[Cell]
+) -> bool:
+    """Return whether a routable source can reach a routable target.
+
+    A bidirectional BFS over the neighbour table and the blocked mask:
+    each step grows whichever side has the smaller frontier by one
+    level, and the answer is known as soon as the sides touch or one
+    side runs dry.  An unreachable query therefore costs about the
+    smaller of the two components, not the whole grid.  Every marked
+    cell is counted in ``astar.refute_cells``.
+    """
+    ends = _endpoints(space, sources, targets)
+    if ends is None:
+        return False
+    source_ids, target_ids, _ = ends
+    size = space.size
+    # side[c]: 0 unseen, 1 blocked (the guard slot too, see _GUARD_NOTE),
+    # 2 reached from the sources, 3 reached from the targets.
+    side = np.empty(size + 1, dtype=np.uint8)
+    np.minimum(space.blocked, 1, out=side[:size])
+    side[size] = 1
+    # Dedup buffer: scattering positions keeps one occurrence per cell.
+    stamp = np.empty(size + 1, dtype=np.intp)
+    marked = 0
+    try:
+        fronts = []
+        for mark, ids in ((2, source_ids), (3, target_ids)):
+            front = _as_ids(ids)
+            front = np.unique(front[side[front] != 1])
+            if (side[front] == 2).any():  # a source is itself a target
+                return True
+            side[front] = mark
+            marked += int(front.size)
+            fronts.append((front, mark))
+        nbr = _space_nbr_table(space)
+        small, large = fronts
+        while small[0].size and large[0].size:
+            if large[0].size < small[0].size:
+                small, large = large, small
+            front, mark = small
+            flat = nbr[front].reshape(-1)
+            seen = side[flat]
+            if (seen == 5 - mark).any():
+                return True
+            front = flat[seen == 0]
+            pos = np.arange(front.size)
+            stamp[front] = pos
+            front = front[stamp[front] == pos]
+            side[front] = mark
+            marked += int(front.size)
+            small = (front, mark)
+        return False
+    finally:
+        obs.counter("astar.refute_cells").inc(marked)
 
 
 def _astar_scalar(

@@ -133,6 +133,7 @@ class NegotiationRouter:
             if budget is not None
             else obs.counter("astar.expansions")
         )
+        refuted_counter = obs.counter("astar.refuted")
         for iteration in range(1, self.gamma + 1):
             result.iterations = iteration
             # While every history entry is still zero the surcharge is a
@@ -175,6 +176,7 @@ class NegotiationRouter:
                         edge_id=request.edge_id,
                     )
                     spent_before = exp_counter.value
+                    refuted_before = refuted_counter.value
                     ids: Optional[List[int]] = None
                     with edge_span:
                         try:
@@ -194,6 +196,8 @@ class NegotiationRouter:
                                 astar_expansions=exp_counter.value
                                 - spent_before,
                                 routed=ids is not None,
+                                refuted=refuted_counter.value
+                                > refuted_before,
                             )
                     if ids is not None and faults.fires(
                         "negotiation_edge_failure"
