@@ -179,28 +179,27 @@ def solve_escape(
     adj_arcs_mv = memoryview(adj_arcs)
     adj_q_mv = memoryview(adj_q)
 
-    # Control pins.
-    pin_arc_of_cell: Dict[int, Tuple[int, Point]] = {}
-    seen_pins: Set[int] = set()
+    # The remaining arcs go in one batch, in the order a per-arc build
+    # inserts them (so arc ids, CSR order and tie-breaking match it):
+    # the control pins, then per source its selector arc and tap arcs.
+    # ``spec`` holds each arc's ``(tail, head, cost)``; ``pin_at`` and
+    # ``tap_entries`` refer to arcs by their index in it.
+    spec: List[Tuple[int, int, int]] = []
+    pin_at: Dict[int, Tuple[int, Point]] = {}
     for pin in pins:
         x, y = pin[0], pin[1]
         if not (0 <= x < width and 0 <= y < height):
             continue  # an off-chip pin can never be usable
-        pid = y * width + x
-        if pid in seen_pins:
+        k = int(kof[y * width + x])
+        if k < 0 or k in pin_at:
             continue
-        seen_pins.add(pid)
-        k = int(kof[pid])
-        if k < 0:
-            continue
-        arc = net.add_arc(out_node(k), t_node, 1, 0.0)
-        pin_arc_of_cell[k] = (arc, Point(x, y))
+        pin_at[k] = (len(spec), Point(x, y))
+        spec.append((out_node(k), t_node, 0))
 
-    # Sources.
-    tap_arcs: Dict[int, List[Tuple[int, Point, int]]] = {}
+    tap_entries: List[List[Tuple[int, Point, int]]] = []
     for si, source in enumerate(sources):
         selector = 2 * n_cells + 2 + si
-        net.add_arc(s_node, selector, 1, 0.0)
+        spec.append((s_node, selector, 0))
         entries: List[Tuple[int, Point, int]] = []
         seen_entry: Set[int] = set()
         for tap in source.tap_cells:
@@ -214,8 +213,8 @@ def solve_escape(
                 # The tap cell itself is routable (singleton valve case):
                 # the path starts on it at zero cost.
                 if tid not in seen_entry:
-                    arc = net.add_arc(selector, in_node(k_tap), 1, 0.0)
-                    entries.append((arc, tap, tid))
+                    entries.append((len(spec), tap, tid))
+                    spec.append((selector, in_node(k_tap), 0))
                     seen_entry.add(tid)
                 continue
             for v in tap.neighbors4():
@@ -225,10 +224,16 @@ def solve_escape(
                 kv = int(kof[vid])
                 if kv < 0 or vid in seen_entry:
                     continue
-                arc = net.add_arc(selector, in_node(kv), 1, 1.0)
-                entries.append((arc, tap, vid))
+                entries.append((len(spec), tap, vid))
+                spec.append((selector, in_node(kv), 1))
                 seen_entry.add(vid)
-        tap_arcs[si] = entries
+        tap_entries.append(entries)
+    us, vs, costs = zip(*spec)
+    arcs = net.add_arcs(us, vs, [1] * len(spec), costs).tolist()
+    pin_arc_of_cell = {k: (arcs[i], pt) for k, (i, pt) in pin_at.items()}
+    tap_arcs = [
+        [(arcs[i], tap, vid) for i, tap, vid in entries] for entries in tap_entries
+    ]
 
     flow_value, total_cost = net.max_flow_min_cost(
         s_node, t_node, max_flow=len(sources)

@@ -9,7 +9,14 @@ Arcs live in flat numpy arrays (paired forward/residual entries, like a
 classic arc-list MCMF) and per-node adjacency is a CSR view built lazily
 at solve time: a stable argsort of the arc tail array groups each node's
 arcs in insertion order, which fixes relaxation order — and therefore
-tie-breaking and the solved flow.
+tie-breaking and the solved flow.  Batches added with ``add_arcs`` size
+the arrays exactly; single ``add_arc`` calls grow them by doubling.
+
+A solve works on one CSR-ordered copy of the arc arrays.  The numpy
+passes read the arrays; the pure-Python Dial loop and the augmentation
+read and write the same buffers through ``memoryview``s, which index as
+plain Python ints.  No per-solve Python list mirrors the arcs, and each
+residual capacity and potential lives in exactly one buffer.
 
 The Dijkstra is a Dial bucket queue over integer distances
 (:func:`_dial`).  On a large network its pure-Python pops dominate, so
@@ -39,7 +46,7 @@ exact ones give the same update.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,11 +93,17 @@ class MinCostFlow:
         self._order: Optional[np.ndarray] = None
         self._indptr: Optional[np.ndarray] = None
 
-    def _reserve(self, extra: int) -> None:
+    def _reserve(self, extra: int, exact: bool = False) -> None:
+        """Make room for ``extra`` more arc slots.
+
+        Single arcs grow the arrays by doubling (amortised O(1) each); a
+        batch (``exact``) grows them to just the size it needs, so a
+        network built from batches carries no spare slots.
+        """
         need = self._m + extra
         if need <= self._to.size:
             return
-        new_size = max(need, 2 * self._to.size)
+        new_size = need if exact else max(need, 2 * self._to.size)
         for name in ("_to", "_tail", "_cap", "_cost"):
             old = getattr(self, name)
             grown = np.empty(new_size, dtype=old.dtype)
@@ -141,7 +154,8 @@ class MinCostFlow:
         """Add a batch of arcs ``us[i] -> vs[i]``; return their forward ids.
 
         Equivalent to calling :meth:`add_arc` element-wise in order, at
-        array speed.  All four sequences must share one length.
+        array speed, except that the arrays grow to exactly the size the
+        batch needs.  All four sequences must share one length.
         """
         us = np.ascontiguousarray(us, dtype=np.int64)
         vs = np.ascontiguousarray(vs, dtype=np.int64)
@@ -166,7 +180,7 @@ class MinCostFlow:
             raise ValueError(
                 "negative arc costs are not supported by the Dijkstra solver"
             )
-        self._reserve(2 * k)
+        self._reserve(2 * k, exact=True)
         m = self._m
         fwd = slice(m, m + 2 * k, 2)
         rev = slice(m + 1, m + 2 * k, 2)
@@ -184,6 +198,8 @@ class MinCostFlow:
 
     def flow_on(self, arc_id: int) -> int:
         """Return the flow routed on forward arc ``arc_id``."""
+        if not 0 <= arc_id < self._m:
+            raise ValueError(f"arc id {arc_id} out of range")
         if arc_id % 2 != 0:
             raise ValueError("flow_on expects a forward arc id")
         return int(self._cap[arc_id ^ 1])
@@ -212,44 +228,47 @@ class MinCostFlow:
         total cost (each augmentation follows a currently-cheapest path,
         which yields a min-cost flow for every intermediate flow value).
 
-        Returns ``(flow_value, total_cost)``.
+        Returns ``(flow_value, total_cost)``.  Raises ``ValueError`` when
+        ``source`` or ``sink`` is not a node or the two coincide.
         """
-        if source == sink:
-            raise ValueError("source and sink must differ")
         n = self.n
         m = self._m
+        if not (0 <= source < n and 0 <= sink < n):
+            raise ValueError(f"source/sink ({source},{sink}) out of range")
+        if source == sink:
+            raise ValueError("source and sink must differ")
         order, indptr = self._adjacency()
         # CSR-ordered arc arrays.  ``cpair[j]`` is the CSR slot of arc
         # j's residual partner, so ``cto[cpair[j]]`` is arc j's tail.  The
-        # Dial loop reads plain-list copies (fastest on CPython), the
-        # sweep the arrays; ``ccap`` and ``ccap_a`` change together.
-        cto_a = self._to[:m][order]
-        ccost_a = self._cost[:m][order]
-        ccap_a = self._cap[:m][order]
+        # sweep reads the arrays; the Dial loop and the augmentation read
+        # and write the same buffers through memoryviews, which index as
+        # Python ints, so each residual capacity is stored once.
         inv = np.empty(m, dtype=np.int64)
         inv[order] = np.arange(m, dtype=np.int64)
         cpair_a = inv[order ^ 1]
-        indptr_l = indptr.tolist()
-        cto = cto_a.tolist()
-        ccost = ccost_a.tolist()
-        ccap = ccap_a.tolist()
-        cpair = cpair_a.tolist()
-        # Per-node arc slices, reused across every augmentation's search.
-        arcs_of = list(map(range, indptr_l[:-1], indptr_l[1:]))
+        del inv  # before the copies below, to keep the solve's peak low
+        cto_a = self._to[:m][order]
+        ccost_a = self._cost[:m][order]
+        ccap_a = self._cap[:m][order]
+        ip = memoryview(indptr)
+        cto = memoryview(cto_a)
+        ccost = memoryview(ccost_a)
+        ccap = memoryview(ccap_a)
+        cpair = memoryview(cpair_a)
 
+        # Updated in place only, so ``potential`` always views it.
         pot = np.zeros(n, dtype=np.int64)
+        potential = memoryview(pot)
         flow_value = 0
         total_cost = 0
-        limit = max_flow if max_flow is not None else float("inf")
         augmentations = 0
         nodes_settled = 0
         ball = 0  # nodes within the sink's distance, last augmentation
 
-        while flow_value < limit:
+        while max_flow is None or flow_value < max_flow:
             if ball < _SWEEP_MIN_BALL:
                 dist, parent, popped = _dial(
-                    source, sink, arcs_of, cto, ccost, ccap,
-                    pot.tolist(), bytearray(n),
+                    source, sink, ip, cto, ccost, ccap, potential, bytearray(n)
                 )
                 nodes_settled += len(popped)
                 d_sink = dist[sink]
@@ -268,10 +287,8 @@ class MinCostFlow:
                 )
                 # Off-path nodes start out settled, so the replay never
                 # enters them and reads only on-path potentials.
-                on_nodes = np.flatnonzero(on_path)
                 dist, parent, popped = _dial(
-                    source, sink, arcs_of, cto, ccost, ccap,
-                    dict(zip(on_nodes.tolist(), pot[on_nodes].tolist())),
+                    source, sink, ip, cto, ccost, ccap, potential,
                     bytearray(np.logical_not(on_path).tobytes()),
                 )
                 nodes_settled += len(popped)
@@ -285,18 +302,14 @@ class MinCostFlow:
                 j = parent[v]
                 path.append(j)
                 v = cto[cpair[j]]
-            bottleneck = limit - flow_value
-            for j in path:
-                if ccap[j] < bottleneck:
-                    bottleneck = ccap[j]
+            bottleneck = min([ccap[j] for j in path])
+            if max_flow is not None and max_flow - flow_value < bottleneck:
+                bottleneck = max_flow - flow_value
             for j in path:
                 ccap[j] -= bottleneck
                 ccap[cpair[j]] += bottleneck
                 total_cost += bottleneck * ccost[j]
-            slots = np.array(path, dtype=np.int64)
-            ccap_a[slots] -= bottleneck
-            ccap_a[cpair_a[slots]] += bottleneck
-            flow_value += int(bottleneck)
+            flow_value += bottleneck
 
         # Flow lives in the residual capacities: fold the CSR working
         # copy back into arc-id order so flow_on sees the solved flow.
@@ -311,11 +324,11 @@ class MinCostFlow:
 def _dial(
     source: int,
     sink: int,
-    arcs_of: List[range],
-    cto: List[int],
-    ccost: List[int],
-    ccap: List[int],
-    potential: Union[List[int], Dict[int, int]],
+    ip: memoryview,
+    cto: memoryview,
+    ccost: memoryview,
+    ccap: memoryview,
+    potential: memoryview,
     settled: bytearray,
 ) -> Tuple[List[float], List[int], List[int]]:
     """Dijkstra over reduced costs with a Dial bucket queue, stopping at the sink.
@@ -325,8 +338,10 @@ def _dial(
     int-heap cost.  Non-negative reduced costs mean inserts only ever
     target the current or later buckets.  A node's parent is the first
     arc (in pop order, then CSR order) to reach its final distance.
-    Nodes already marked in ``settled`` are never entered, so
-    ``potential`` needs entries only for the others.
+    Nodes already marked in ``settled`` are never entered, and their
+    potentials are never read.  The arc arrays, the CSR row pointers
+    ``ip`` and ``potential`` are memoryviews of the solver's int64
+    arrays; a node's arcs are the slots ``range(ip[u], ip[u + 1])``.
 
     Returns ``(dist, parent, popped)``: ``parent[v]`` is the CSR slot of
     the arc into ``v``, ``popped`` lists the settled nodes in pop order.
@@ -355,7 +370,7 @@ def _dial(
                 break
             d = dist[u]
             pot_u = potential[u]
-            for j in arcs_of[u]:
+            for j in range(ip[u], ip[u + 1]):
                 if ccap[j] <= 0:
                     continue
                 v = cto[j]

@@ -54,6 +54,30 @@ def test_flow_on_requires_forward_arc():
         net.flow_on(1)
 
 
+def test_flow_on_rejects_out_of_range_arc_ids():
+    net = MinCostFlow(2)
+    a = net.add_arc(0, 1, 1, 0.0)
+    net.max_flow_min_cost(0, 1)
+    assert net.flow_on(a) == 1
+    # -64 would wrap onto arc 0's residual slot; 2 and up lie in the
+    # arrays' unused reserve.
+    for arc_id in (-64, -2, 2, 62):
+        with pytest.raises(ValueError):
+            net.flow_on(arc_id)
+
+
+def test_source_and_sink_must_be_nodes():
+    net = MinCostFlow(3)
+    net.add_arc(0, 1, 1, 0.0)
+    net.add_arc(1, 2, 1, 0.0)
+    # Out-of-range sinks first: the negative source must be rejected
+    # before any search, which walks back from the sink to the source.
+    for source, sink in ((0, 3), (0, -1), (3, 0), (-1, 2), (-3, 2)):
+        with pytest.raises(ValueError):
+            net.max_flow_min_cost(source, sink)
+    assert net.max_flow_min_cost(0, 2) == (1, 0.0)
+
+
 def test_max_flow_cap():
     net = MinCostFlow(2)
     net.add_arc(0, 1, 5, 1.0)
